@@ -72,6 +72,10 @@ func cmdServe(args []string) error {
 		manifestFile = f
 		opts.ManifestOut = f
 	}
+	// Install the shutdown handler before the server starts, so a signal
+	// sent as soon as "listening" is announced drains instead of killing.
+	signal.Notify(serveStop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(serveStop)
 	s, err := serve.Start(opts)
 	if err != nil {
 		return err
@@ -84,8 +88,6 @@ func cmdServe(args []string) error {
 	}
 	fmt.Fprintln(os.Stderr, "obfuscade: serve listening on", s.URL())
 
-	signal.Notify(serveStop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(serveStop)
 	sig := <-serveStop
 	fmt.Fprintf(os.Stderr, "obfuscade: %v received, draining\n", sig)
 
@@ -133,6 +135,8 @@ func runRouter(routeTo, addr, addrFile string, vnodes int, hedgeAfter, probeInte
 			shards = append(shards, s)
 		}
 	}
+	signal.Notify(serveStop, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(serveStop)
 	rt, err := shard.StartRouter(shard.RouterOptions{
 		Addr:          addr,
 		Shards:        shards,
@@ -152,8 +156,6 @@ func runRouter(routeTo, addr, addrFile string, vnodes int, hedgeAfter, probeInte
 	}
 	fmt.Fprintf(os.Stderr, "obfuscade: routing %s across %d shards\n", rt.URL(), len(shards))
 
-	signal.Notify(serveStop, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(serveStop)
 	sig := <-serveStop
 	fmt.Fprintf(os.Stderr, "obfuscade: %v received, stopping router\n", sig)
 

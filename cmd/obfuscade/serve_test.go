@@ -1,11 +1,17 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
+	"io"
 	"net/http"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 	"time"
 
@@ -218,5 +224,57 @@ func TestCmdServeRestartWarmCache(t *testing.T) {
 	}
 	if sha2 != sha {
 		t.Fatalf("digest changed across restart: %s vs %s", sha2, sha)
+	}
+}
+
+// A SIGTERM sent the moment serve (or the router) announces it is up
+// must drain, not kill: the handler is installed before the
+// announcement. The server runs in a child copy of this test binary so
+// the test can deliver a real signal.
+func TestCmdServeSIGTERMRightAfterStart(t *testing.T) {
+	if args := os.Getenv("OBFUSCADE_SERVE_CHILD"); args != "" {
+		if err := cmdServe(strings.Fields(args)); err != nil {
+			fmt.Fprintln(os.Stderr, "child:", err)
+			os.Exit(1)
+		}
+		os.Exit(0)
+	}
+	if runtime.GOOS == "windows" {
+		t.Skip("no SIGTERM on windows")
+	}
+	for _, tc := range []struct{ name, args, up, clean string }{
+		{"serve", "-addr 127.0.0.1:0", "serve listening on", "serve drained cleanly"},
+		{"router", "-addr 127.0.0.1:0 -route-to 127.0.0.1:1", "routing", "router stopped cleanly"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cmd := exec.Command(os.Args[0], "-test.run=^TestCmdServeSIGTERMRightAfterStart$")
+			cmd.Env = append(os.Environ(), "OBFUSCADE_SERVE_CHILD="+tc.args)
+			stderr, err := cmd.StderrPipe()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := cmd.Start(); err != nil {
+				t.Fatal(err)
+			}
+			var out strings.Builder
+			sc := bufio.NewScanner(stderr)
+			for sc.Scan() {
+				out.WriteString(sc.Text() + "\n")
+				if strings.Contains(sc.Text(), tc.up) {
+					if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+						t.Fatal(err)
+					}
+					break
+				}
+			}
+			rest, _ := io.ReadAll(stderr)
+			out.Write(rest)
+			if err := cmd.Wait(); err != nil {
+				t.Fatalf("child exited with %v:\n%s", err, out.String())
+			}
+			if !strings.Contains(out.String(), tc.clean) {
+				t.Fatalf("child did not report %q:\n%s", tc.clean, out.String())
+			}
+		})
 	}
 }

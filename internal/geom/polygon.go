@@ -125,19 +125,34 @@ func (p Polygon) WindingNumber(q Vec2) int {
 	w := 0
 	n := len(p)
 	for i := 0; i < n; i++ {
-		a := p[i]
-		b := p[(i+1)%n]
-		if a.Y <= q.Y {
-			if b.Y > q.Y && b.Sub(a).Cross(q.Sub(a)) > 0 {
-				w++
-			}
-		} else {
-			if b.Y <= q.Y && b.Sub(a).Cross(q.Sub(a)) < 0 {
-				w--
-			}
-		}
+		w += EdgeWinding(p[i], p[(i+1)%n], q)
 	}
 	return w
+}
+
+// EdgeWinding returns the directed edge a→b's contribution to a winding
+// number around q: +1 when the edge rises past q with q strictly to its
+// left, -1 when it falls past q with q strictly to its right, else 0. The
+// edge counts only when min(a.Y, b.Y) <= q.Y < max(a.Y, b.Y), so
+// horizontal edges never count; an index that visits every edge meeting
+// that half-open y-range and sums EdgeWinding reproduces WindingNumber.
+func EdgeWinding(a, b, q Vec2) int {
+	s := 1
+	if a.Y <= q.Y {
+		if b.Y <= q.Y {
+			return 0
+		}
+	} else if b.Y > q.Y {
+		return 0
+	} else {
+		s = -1
+	}
+	// b.Sub(a).Cross(q.Sub(a)), spelled out to stay under the inlining
+	// budget: the hot winding loops call this once per edge.
+	if c := (b.X-a.X)*(q.Y-a.Y) - (b.Y-a.Y)*(q.X-a.X); c*float64(s) > 0 {
+		return s
+	}
+	return 0
 }
 
 // Contains reports whether q lies strictly inside the polygon under the

@@ -36,6 +36,36 @@ func TestPolygonCentroid(t *testing.T) {
 	}
 }
 
+// EdgeWinding's crossing rule: half-open in y (the lower endpoint's row
+// counts, the upper one's does not), strict about the side, so points on
+// the edge and horizontal edges contribute nothing.
+func TestEdgeWinding(t *testing.T) {
+	up, down := [2]Vec2{V2(0, 0), V2(0, 2)}, [2]Vec2{V2(0, 2), V2(0, 0)}
+	flat := [2]Vec2{V2(0, 1), V2(2, 1)}
+	cases := []struct {
+		e    [2]Vec2
+		q    Vec2
+		want int
+	}{
+		{up, V2(-1, 1), 1},    // rising, q to the left
+		{up, V2(1, 1), 0},     // rising, q to the right
+		{down, V2(-1, 1), -1}, // falling, q to the right
+		{down, V2(1, 1), 0},   // falling, q to the left
+		{up, V2(0, 1), 0},     // q on the edge
+		{up, V2(-1, 0), 1},    // lower endpoint's row counts
+		{up, V2(-1, 2), 0},    // upper endpoint's row does not
+		{down, V2(-1, 0), -1}, // same rule for a falling edge
+		{down, V2(-1, 2), 0},
+		{flat, V2(1, 1), 0}, // horizontal edges never count
+		{flat, V2(1, 0), 0},
+	}
+	for _, tc := range cases {
+		if got := EdgeWinding(tc.e[0], tc.e[1], tc.q); got != tc.want {
+			t.Errorf("EdgeWinding(%v, %v, %v) = %d, want %d", tc.e[0], tc.e[1], tc.q, got, tc.want)
+		}
+	}
+}
+
 func TestWindingNumber(t *testing.T) {
 	p := square(0, 0, 1)
 	if got := p.WindingNumber(V2(0, 0)); got != 1 {

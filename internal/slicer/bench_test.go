@@ -114,3 +114,41 @@ func BenchmarkRasterizeNaive(b *testing.B) {
 		}
 	}
 }
+
+// Interface-probe benchmarks: the per-layer seam probe (winding lookups,
+// nearest-boundary search, crossing count) over every layer of the split
+// bar sliced x-z, where the seam crosses every layer.
+//
+//	go test ./internal/slicer -bench 'BenchmarkProbeInterface' -run '^$' -benchmem
+
+func benchProbeLayers(b *testing.B) ([]Layer, Options) {
+	b.Helper()
+	m := benchSplitBar(b, tessellate.Fine)
+	orientXZ(m)
+	opts := DefaultOptions()
+	res, err := Slice(m, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Layers, opts
+}
+
+var probeSink []BodyInterface
+
+func benchProbe(b *testing.B, find func(*Layer, Options) []BodyInterface) {
+	layers, opts := benchProbeLayers(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for li := range layers {
+			probeSink = find(&layers[li], opts)
+		}
+	}
+	b.StopTimer()
+	if sec := b.Elapsed().Seconds(); sec > 0 {
+		b.ReportMetric(float64(len(layers)*b.N)/sec, "layers/s")
+	}
+}
+
+func BenchmarkProbeInterface(b *testing.B)      { benchProbe(b, findInterfaces) }
+func BenchmarkProbeInterfaceNaive(b *testing.B) { benchProbe(b, findInterfacesNaive) }

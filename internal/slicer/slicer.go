@@ -117,8 +117,8 @@ type Layer struct {
 	Contours []Contour
 	// Interfaces describes where distinct bodies meet in this layer.
 	Interfaces []BodyInterface
-	// probe caches per-contour bounding boxes for the winding and
-	// distance probes. Built by the slicer after the contours assemble;
+	// probe caches per-contour bounding boxes and y-buckets for the
+	// winding probes. Built by the slicer after the contours assemble;
 	// nil for hand-built layers, which fall back to the unindexed scans.
 	probe *probeIndex
 }

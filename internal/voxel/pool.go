@@ -1,7 +1,5 @@
-// Freelists for the two dominant allocation sources of the virtual
-// printer: grid cell storage (one multi-megabyte []Material per build)
-// and the Components flood-fill scratch (a visited bitmap the size of the
-// grid plus a traversal stack, formerly allocated per call).
+// The freelist for the dominant allocation source of the virtual
+// printer: grid cell storage (one multi-megabyte []Material per build).
 //
 // Pooling is invisible in every deterministic artifact: recycled storage
 // is cleared before use, pool hits are never counted (sync.Pool reuse
@@ -41,23 +39,4 @@ func (g *Grid) Release() {
 	}
 	cellPool.Put(g.cells[:0])
 	g.cells = nil
-}
-
-// ccScratch is the reusable working set of one Components call.
-type ccScratch struct {
-	visited []bool
-	stack   [][3]int
-}
-
-var ccScratchPool = sync.Pool{New: func() any { return new(ccScratch) }}
-
-// getVisited returns sc.visited resized to n and zeroed.
-func (sc *ccScratch) getVisited(n int) []bool {
-	if cap(sc.visited) < n {
-		sc.visited = make([]bool, n)
-	} else {
-		sc.visited = sc.visited[:n]
-		clear(sc.visited)
-	}
-	return sc.visited
 }

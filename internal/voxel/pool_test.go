@@ -1,6 +1,7 @@
 package voxel
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -50,10 +51,10 @@ func TestReleasedGridPanics(t *testing.T) {
 	g.Set(0, 0, 0, Model)
 }
 
-// The pooled Components scratch must not leak state: repeated calls on
-// the same grid return identical component lists, including under
-// concurrent use from many goroutines (tier-2 runs this with -race).
-func TestComponentsPooledScratch(t *testing.T) {
+// InternalCavities keeps all its working state per call: repeated calls
+// on one grid from many goroutines return identical cavity lists (tier-2
+// runs this with -race).
+func TestInternalCavitiesConcurrent(t *testing.T) {
 	g, err := NewGrid(geom.AABB{Min: geom.V3(0, 0, 0), Max: geom.V3(10, 10, 10)}, 1, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -70,9 +71,9 @@ func TestComponentsPooledScratch(t *testing.T) {
 	g.Set(5, 5, 5, Empty)
 	g.Set(5, 5, 6, Empty)
 
-	want := g.Components(Empty)
+	want := g.InternalCavities()
 	if len(want) != 2 || want[0].Voxels != 2 || want[1].Voxels != 1 {
-		t.Fatalf("unexpected baseline components: %+v", want)
+		t.Fatalf("unexpected baseline cavities: %+v", want)
 	}
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -80,16 +81,9 @@ func TestComponentsPooledScratch(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for iter := 0; iter < 50; iter++ {
-				got := g.Components(Empty)
-				if len(got) != len(want) {
-					t.Errorf("worker %d: %d components, want %d", w, len(got), len(want))
+				if got := g.InternalCavities(); !reflect.DeepEqual(got, want) {
+					t.Errorf("worker %d: cavities %+v, want %+v", w, got, want)
 					return
-				}
-				for i := range got {
-					if got[i] != want[i] {
-						t.Errorf("worker %d: component %d = %+v, want %+v", w, i, got[i], want[i])
-						return
-					}
 				}
 			}
 		}(w)

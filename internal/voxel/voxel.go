@@ -183,14 +183,12 @@ func (c *Component) BoundsWorld(g *Grid) geom.AABB {
 }
 
 // Components labels the 6-connected components of the given material and
-// returns them sorted by descending size.
+// returns them sorted by descending size. It is the reference the
+// InternalCavities fast path is property-tested against.
 func (g *Grid) Components(m Material) []Component {
-	sc := ccScratchPool.Get().(*ccScratch)
-	defer ccScratchPool.Put(sc)
-	visited := sc.getVisited(len(g.cells))
+	visited := make([]bool, len(g.cells))
 	var comps []Component
-	stack := sc.stack[:0]
-	defer func() { sc.stack = stack }()
+	var stack [][3]int
 	for z := 0; z < g.NZ; z++ {
 		for y := 0; y < g.NY; y++ {
 			for x := 0; x < g.NX; x++ {
@@ -204,21 +202,12 @@ func (g *Grid) Components(m Material) []Component {
 					MaxV:     [3]int{x, y, z},
 					Seed:     [3]int{x, y, z},
 				}
-				stack = stack[:0]
-				stack = append(stack, [3]int{x, y, z})
+				stack = append(stack[:0], [3]int{x, y, z})
 				visited[i] = true
 				for len(stack) > 0 {
 					v := stack[len(stack)-1]
 					stack = stack[:len(stack)-1]
-					comp.Voxels++
-					for d := 0; d < 3; d++ {
-						if v[d] < comp.MinV[d] {
-							comp.MinV[d] = v[d]
-						}
-						if v[d] > comp.MaxV[d] {
-							comp.MaxV[d] = v[d]
-						}
-					}
+					comp.add(v)
 					if v[0] == 0 || v[1] == 0 || v[2] == 0 ||
 						v[0] == g.NX-1 || v[1] == g.NY-1 || v[2] == g.NZ-1 {
 						comp.TouchesBoundary = true
@@ -242,27 +231,124 @@ func (g *Grid) Components(m Material) []Component {
 			}
 		}
 	}
-	// Sort by descending size (insertion sort; component counts are tiny).
+	sortBySize(comps)
+	return comps
+}
+
+// add counts voxel v into the component and widens its bounds.
+func (c *Component) add(v [3]int) {
+	c.Voxels++
+	for d := 0; d < 3; d++ {
+		c.MinV[d] = min(c.MinV[d], v[d])
+		c.MaxV[d] = max(c.MaxV[d], v[d])
+	}
+}
+
+// sortBySize orders components by descending size, keeping discovery
+// (scan) order among equals (insertion sort; component counts are tiny).
+func sortBySize(comps []Component) {
 	for i := 1; i < len(comps); i++ {
 		for j := i; j > 0 && comps[j].Voxels > comps[j-1].Voxels; j-- {
 			comps[j], comps[j-1] = comps[j-1], comps[j]
 		}
 	}
-	return comps
 }
 
 // InternalCavities returns empty components fully enclosed by material —
 // what an X-ray/CT inspection of the printed artifact reveals. This is
 // the genuine-part authentication check of ObfusCADe: the washed-out
 // sphere leaves a detectable internal cavity.
+//
+// It never labels the exterior. One fill marks every empty voxel
+// reachable from the grid boundary; only the empty voxels it leaves are
+// then labelled, in scan order. The fill marks every boundary voxel
+// before it expands, so it only ever steps from interior voxels, whose six
+// neighbours are all in the grid: each step is a flat offset with no
+// bounds check. The result equals filtering Components(Empty) for
+// components that do not touch the boundary — same seeds, bounds, counts
+// and order.
 func (g *Grid) InternalCavities() []Component {
-	var out []Component
-	for _, c := range g.Components(Empty) {
-		if !c.TouchesBoundary {
-			out = append(out, c)
+	nx, ny, nz := g.NX, g.NY, g.NZ
+	cells := g.cells
+	seen := make([]bool, len(cells))
+	steps := [6]int32{1, -1, int32(nx), -int32(nx), int32(nx * ny), -int32(nx * ny)}
+	var stack []int32
+	// Mark the empty boundary voxels and stack their empty interior
+	// neighbours: whole rows on the four outer faces of the y-z frame,
+	// the two end voxels of every other row.
+	interior := func(x, y, z int) bool {
+		return x > 0 && y > 0 && z > 0 && x < nx-1 && y < ny-1 && z < nz-1
+	}
+	boundary := func(x, y, z int) {
+		i := g.idx(x, y, z)
+		if cells[i] != Empty {
+			return
+		}
+		seen[i] = true
+		for _, d := range [6][3]int{
+			{1, 0, 0}, {-1, 0, 0}, {0, 1, 0}, {0, -1, 0}, {0, 0, 1}, {0, 0, -1},
+		} {
+			if !interior(x+d[0], y+d[1], z+d[2]) {
+				continue
+			}
+			if ni := g.idx(x+d[0], y+d[1], z+d[2]); cells[ni] == Empty && !seen[ni] {
+				seen[ni] = true
+				stack = append(stack, int32(ni))
+			}
 		}
 	}
+	for z := 0; z < nz; z++ {
+		for y := 0; y < ny; y++ {
+			if y == 0 || z == 0 || y == ny-1 || z == nz-1 {
+				for x := 0; x < nx; x++ {
+					boundary(x, y, z)
+				}
+			} else {
+				boundary(0, y, z)
+				boundary(nx-1, y, z)
+			}
+		}
+	}
+	for len(stack) > 0 {
+		i := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, s := range steps {
+			if ni := i + s; cells[ni] == Empty && !seen[ni] {
+				seen[ni] = true
+				stack = append(stack, ni)
+			}
+		}
+	}
+	// Every empty voxel left unseen is interior and enclosed.
+	var out []Component
+	for i := range cells {
+		if cells[i] != Empty || seen[i] {
+			continue
+		}
+		v := g.coords(i)
+		comp := Component{Material: Empty, MinV: v, MaxV: v, Seed: v}
+		seen[i] = true
+		stack = append(stack, int32(i))
+		for len(stack) > 0 {
+			j := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			comp.add(g.coords(int(j)))
+			for _, s := range steps {
+				if nj := j + s; cells[nj] == Empty && !seen[nj] {
+					seen[nj] = true
+					stack = append(stack, nj)
+				}
+			}
+		}
+		out = append(out, comp)
+	}
+	sortBySize(out)
 	return out
+}
+
+// coords inverts idx.
+func (g *Grid) coords(i int) [3]int {
+	return [3]int{i % g.NX, i / g.NX % g.NY, i / (g.NX * g.NY)}
 }
 
 // Porosity returns the fraction of void volume inside the material

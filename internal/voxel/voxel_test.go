@@ -2,6 +2,8 @@ package voxel
 
 import (
 	"math"
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"obfuscade/internal/geom"
@@ -180,5 +182,53 @@ func TestPorosityNoModel(t *testing.T) {
 	g := newTestGrid(t, 3, 3, 3)
 	if g.Porosity() != 0 {
 		t.Error("empty grid porosity should be 0")
+	}
+}
+
+// cavitiesByFilter is the reference InternalCavities: label every empty
+// component, keep those that do not touch the grid boundary.
+func cavitiesByFilter(g *Grid) []Component {
+	var out []Component
+	for _, c := range g.Components(Empty) {
+		if !c.TouchesBoundary {
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
+// Property: the exterior-fill InternalCavities returns exactly the
+// filtered Components(Empty) list — seeds, bounds, counts and order — on
+// random grids, including grids one voxel thick on some axis and grids
+// whose cavities tie in size.
+func TestInternalCavitiesMatchesComponents(t *testing.T) {
+	rng := rand.New(rand.NewSource(0xcab1))
+	for trial := 0; trial < 400; trial++ {
+		nx, ny, nz := 1+rng.Intn(9), 1+rng.Intn(9), 1+rng.Intn(9)
+		if trial%4 == 0 {
+			// One voxel thick along a random axis.
+			switch rng.Intn(3) {
+			case 0:
+				nx = 1
+			case 1:
+				ny = 1
+			default:
+				nz = 1
+			}
+		}
+		g := newTestGrid(t, nx, ny, nz)
+		density := rng.Float64()
+		for i := range g.cells {
+			switch r := rng.Float64(); {
+			case r < density:
+				g.cells[i] = Model
+			case r < density+(1-density)/4:
+				g.cells[i] = Support
+			}
+		}
+		want := cavitiesByFilter(g)
+		if got := g.InternalCavities(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d (%dx%dx%d): InternalCavities\n%+v\nwant\n%+v", trial, nx, ny, nz, got, want)
+		}
 	}
 }
