@@ -18,12 +18,14 @@ race:
 	$(GO) test -race ./...
 
 # Serial-vs-parallel wall time for the quality matrix, the indexed-vs-
-# naive slicer kernel comparison, plus the machine-readable
+# naive slicer kernel comparison, the G-code and part-copy kernels'
+# allocs/op, plus the machine-readable
 # BENCH_obfuscade.json artifact that the CI bench job diffs against the
 # committed BENCH_baseline.json (scripts/benchdiff.go).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkQualityMatrix' -benchmem -benchtime 2x .
 	$(GO) test -run '^$$' -bench 'BenchmarkSliceKernel|BenchmarkRasterize' -benchmem ./internal/slicer
+	$(GO) test -run '^$$' -bench '^Benchmark(Generate|Simulate|ClonePart)$$' -benchmem ./internal/gcode ./internal/core
 	$(GO) run ./cmd/paperbench -exp bench -benchout BENCH_obfuscade.json
 
 # Perf-regression gate: fails on >30% parallel-matrix wall-time

@@ -157,13 +157,11 @@ func ProtectEmbeddedSphere(p *brep.Part, opts SphereOptions) (FeatureRecord, err
 	}, nil
 }
 
-// ClonePart deep-copies a part via its native serialisation.
+// ClonePart deep-copies a part. The copy is exactly what loading the
+// part's native serialisation returns, but no text is written or read
+// (see brep.Clone).
 func ClonePart(p *brep.Part) (*brep.Part, error) {
-	data, err := brep.Save(p)
-	if err != nil {
-		return nil, err
-	}
-	return brep.Load(data)
+	return brep.Clone(p)
 }
 
 // ApplyKey returns a copy of the protected part transformed by the

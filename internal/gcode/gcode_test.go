@@ -1,7 +1,10 @@
 package gcode
 
 import (
+	"bytes"
+	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -99,7 +102,7 @@ func TestSimulateReport(t *testing.T) {
 func TestSimulateEnvelopeViolation(t *testing.T) {
 	prog := &Program{Commands: []Command{
 		{Code: "G90"},
-		{Code: "G1", Args: map[string]float64{"X": 500, "Y": 0, "F": 1000}},
+		Command{Code: "G1"}.With("X", 500).With("Y", 0).With("F", 1000),
 	}}
 	rep, err := Simulate(prog, DimensionEliteEnvelope())
 	if err != nil {
@@ -115,7 +118,7 @@ func TestSimulateEnvelopeViolation(t *testing.T) {
 
 func TestSimulateFeedrateViolation(t *testing.T) {
 	prog := &Program{Commands: []Command{
-		{Code: "G1", Args: map[string]float64{"X": 10, "F": 99999}},
+		Command{Code: "G1"}.With("X", 10).With("F", 99999),
 	}}
 	rep, err := Simulate(prog, DimensionEliteEnvelope())
 	if err != nil {
@@ -250,5 +253,162 @@ func TestCompareSelfEquivalent(t *testing.T) {
 	}
 	if !d.Equivalent(1e-9) {
 		t.Errorf("self-compare not equivalent: %+v", d)
+	}
+}
+
+// Commands are plain values: editing a copied command slice must leave
+// the original program's text unchanged.
+func TestCommandCopyIsIndependent(t *testing.T) {
+	prog, err := Generate("box", boxPaths(t), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := Marshal(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := append([]Command{}, prog.Commands...)
+	for i := range cp {
+		cp[i] = cp[i].With("X", 999).With("S", 1)
+		cp[i].Comment = "edited"
+	}
+	after, err := Marshal(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("editing a copy of the commands changed the original program")
+	}
+	if cp[0] == prog.Commands[0] {
+		t.Error("the edit did not take on the copy")
+	}
+}
+
+func TestArgAndWith(t *testing.T) {
+	c := Command{Code: "G1"}
+	for i, l := range []string{"X", "Y", "Z", "E", "F", "S"} {
+		if _, ok := c.Arg(l); ok {
+			t.Fatalf("%s present before With", l)
+		}
+		c = c.With(l, float64(i+1))
+	}
+	for i, l := range []string{"X", "Y", "Z", "E", "F", "S"} {
+		if v, ok := c.Arg(l); !ok || v != float64(i+1) {
+			t.Errorf("Arg(%s) = %v, %t", l, v, ok)
+		}
+	}
+	for _, l := range []string{"x", "A", "", "XY"} {
+		if d := c.With(l, 7); d != c {
+			t.Errorf("With(%q) changed the command", l)
+		}
+		if _, ok := c.Arg(l); ok {
+			t.Errorf("Arg(%q) reported present", l)
+		}
+	}
+	// A zero value is present once set.
+	if v, ok := (Command{}).With("E", 0).Arg("E"); !ok || v != 0 {
+		t.Errorf("E0 = %v, %t", v, ok)
+	}
+}
+
+// Parse keeps the last of repeated letters, folds case, and drops
+// letters outside XYZEFS (after checking their numbers).
+func TestParseArgumentLetters(t *testing.T) {
+	p, err := Unmarshal([]byte("g1 X1 x2 A9 y3 B-1 E0.5 e0.75\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := Marshal(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "G1 X2.00000 Y3.00000 E0.75000\n"; string(got) != want {
+		t.Errorf("Marshal = %q, want %q", got, want)
+	}
+	if _, err := Unmarshal([]byte("G1 Qabc\n")); err == nil {
+		t.Error("an unknown letter with a bad number should still fail")
+	}
+}
+
+// printfEncode is the line format Encode had before it wrote numbers
+// with strconv: one fmt "%.5f" per argument, in XYZEFS order.
+func printfEncode(p *Program) []byte {
+	var sb strings.Builder
+	for _, c := range p.Commands {
+		if c.Code != "" {
+			sb.WriteString(c.Code)
+			for _, k := range []string{"X", "Y", "Z", "E", "F", "S"} {
+				if v, ok := c.Arg(k); ok {
+					fmt.Fprintf(&sb, " %s%.5f", k, v)
+				}
+			}
+		}
+		if c.Comment != "" {
+			if c.Code != "" {
+				sb.WriteString(" ")
+			}
+			sb.WriteString("; ")
+			sb.WriteString(c.Comment)
+		}
+		sb.WriteString("\n")
+	}
+	return []byte(sb.String())
+}
+
+// Encode and Marshal must write exactly what "%.5f" writes, so the
+// pinned G-code digests cannot move.
+func TestEncodeMatchesPrintf(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	special := []float64{0, math.Copysign(0, -1), -4e-6, 4e-6, 5e-6, -5e-6, 0.000015, 2.5,
+		-2.5, 1e21, -1e300, math.MaxFloat64, math.SmallestNonzeroFloat64,
+		math.NaN(), math.Inf(1), math.Inf(-1), 1800, 0.033}
+	value := func() float64 {
+		switch rng.Intn(4) {
+		case 0:
+			return special[rng.Intn(len(special))]
+		case 1:
+			return float64(rng.Intn(400)) - 100
+		case 2:
+			return (rng.Float64() - 0.5) * 1e3
+		default:
+			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(30)-15))
+		}
+	}
+	codes := []string{"", "G0", "G1", "G92", "M104", "T1"}
+	comments := []string{"", "TYPE:infill", "layer height", "x ; y"}
+	gen, err := Generate("box", boxPaths(t), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	progs := []*Program{gen, {}}
+	for n := 0; n < 200; n++ {
+		p := &Program{}
+		for i := rng.Intn(30); i > 0; i-- {
+			c := Command{Code: codes[rng.Intn(len(codes))], Comment: comments[rng.Intn(len(comments))]}
+			for _, l := range []string{"X", "Y", "Z", "E", "F", "S"} {
+				if rng.Intn(2) == 0 {
+					c = c.With(l, value())
+				}
+			}
+			p.Commands = append(p.Commands, c)
+		}
+		progs = append(progs, p)
+	}
+	for i, p := range progs {
+		want := printfEncode(p)
+		got, err := Marshal(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("program %d: Marshal differs from %%.5f:\n%q\n%q", i, got, want)
+		}
+		var buf bytes.Buffer
+		if err := Encode(&buf, p); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("program %d: Encode differs from %%.5f", i)
+		}
 	}
 }

@@ -113,15 +113,15 @@ func TestPrintGCodeExtrusionTrim(t *testing.T) {
 func TestPrintGCodeDualMaterial(t *testing.T) {
 	// Hand-written two-layer program with support on T1.
 	prog := &gcode.Program{Commands: []gcode.Command{
-		{Code: "G92", Args: map[string]float64{"E": 0}},
+		gcode.Command{Code: "G92"}.With("E", 0),
 		{Code: "T1"},
-		{Code: "G1", Args: map[string]float64{"Z": 0.0889, "F": 4800}},
-		{Code: "G0", Args: map[string]float64{"X": 0, "Y": 0}},
-		{Code: "G1", Args: map[string]float64{"X": 10, "Y": 0, "E": 0.5}},
+		gcode.Command{Code: "G1"}.With("Z", 0.0889).With("F", 4800),
+		gcode.Command{Code: "G0"}.With("X", 0).With("Y", 0),
+		gcode.Command{Code: "G1"}.With("X", 10).With("Y", 0).With("E", 0.5),
 		{Code: "T0"},
-		{Code: "G1", Args: map[string]float64{"Z": 0.2667}},
-		{Code: "G0", Args: map[string]float64{"X": 0, "Y": 0}},
-		{Code: "G1", Args: map[string]float64{"X": 10, "Y": 0, "E": 1.0}},
+		gcode.Command{Code: "G1"}.With("Z", 0.2667),
+		gcode.Command{Code: "G0"}.With("X", 0).With("Y", 0),
+		gcode.Command{Code: "G1"}.With("X", 10).With("Y", 0).With("E", 1.0),
 	}}
 	b, err := PrintGCode(prog, DimensionElite(), Options{KeepSupport: true})
 	if err != nil {
@@ -138,7 +138,7 @@ func TestPrintGCodeErrors(t *testing.T) {
 		t.Error("expected error for empty program")
 	}
 	travelOnly := &gcode.Program{Commands: []gcode.Command{
-		{Code: "G0", Args: map[string]float64{"X": 10}},
+		gcode.Command{Code: "G0"}.With("X", 10),
 	}}
 	if _, err := PrintGCode(travelOnly, prof, Options{}); err == nil {
 		t.Error("expected error for program that extrudes nothing")

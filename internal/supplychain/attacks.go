@@ -175,10 +175,8 @@ func PorosityAttack(p *gcode.Program, n int) error {
 // actuator-damage attack stopped by the limit-switch mitigation
 // (gcode.Simulate violations).
 func EnvelopeAttack(p *gcode.Program) {
-	p.Commands = append(p.Commands, gcode.Command{
-		Code: "G0",
-		Args: map[string]float64{"X": 10_000, "Y": 10_000, "F": 99_000},
-	})
+	p.Commands = append(p.Commands,
+		gcode.Command{Code: "G0"}.With("X", 10_000).With("Y", 10_000).With("F", 99_000))
 }
 
 // CADTrojanAttack covertly embeds a surface sphere (with material
