@@ -52,10 +52,10 @@ smoke-cluster:
 	./scripts/smoke_cluster.sh
 
 # Coverage floor over the observability, tracing, worker-pool, serving,
-# sharding and stage-memo packages — the subsystems every parallel stage
-# and the routing tier depend on.
+# sharding and stego packages — the subsystems every parallel stage, the
+# routing tier and the sanitize endpoint depend on.
 COVER_FLOOR ?= 85
-COVER_PKGS = ./internal/obs ./internal/parallel ./internal/trace ./internal/serve ./internal/shard ./internal/stego ./internal/memo
+COVER_PKGS = ./internal/obs ./internal/parallel ./internal/trace ./internal/serve ./internal/shard ./internal/stego
 cover:
 	$(GO) test -covermode=atomic -coverprofile=coverage.out $(COVER_PKGS)
 	@pct=$$($(GO) tool cover -func=coverage.out | awk '/^total:/ { gsub(/%/, "", $$3); print $$3 }'); \

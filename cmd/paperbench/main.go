@@ -505,8 +505,8 @@ type benchReport struct {
 		BytesPerKey  int64 `json:"bytes_per_key"`
 	} `json:"matrix"`
 	// Stages splits the parallel matrix wall time by pipeline stage using
-	// the obs stage histograms — the denominators the memoization and
-	// zero-alloc work are judged against.
+	// the obs stage histograms — the denominators the shared tessellation
+	// and zero-alloc work are judged against.
 	Stages struct {
 		TessellateSeconds float64 `json:"tessellate_seconds"`
 		VoxelSeconds      float64 `json:"voxel_seconds"`
@@ -628,9 +628,9 @@ func spawnShards(n int, dir string) ([]*shardProc, error) {
 		shards = append(shards, sp)
 
 		deadline := time.Now().Add(15 * time.Second)
-		for sp.addr == "" {
-			if data, err := os.ReadFile(addrFile); err == nil {
-				sp.addr = strings.TrimSpace(string(data))
+		for {
+			if addr, ok := readAddrFile(addrFile); ok {
+				sp.addr = addr
 				break
 			}
 			if time.Now().After(deadline) {
@@ -640,6 +640,19 @@ func spawnShards(n int, dir string) ([]*shardProc, error) {
 		}
 	}
 	return shards, nil
+}
+
+// readAddrFile returns the address a shard child wrote to path once the
+// whole line is there. os.WriteFile creates the file before it writes
+// it, so the file can exist empty or hold part of the address; only a
+// newline-terminated line is complete.
+func readAddrFile(path string) (string, bool) {
+	data, err := os.ReadFile(path)
+	if err != nil || !strings.HasSuffix(string(data), "\n") {
+		return "", false
+	}
+	addr := strings.TrimSpace(string(data))
+	return addr, addr != ""
 }
 
 // stopShards closes each child's stdin (its stop signal) and reaps it.
@@ -864,8 +877,8 @@ func runBench(out string, replicates int, seed int64) error {
 	}
 	// The matrix() reset scoped the registry to the parallel run, so the
 	// stage histogram sums are exactly that run's stage splits: the
-	// index-build serial prologue, the tessellation builds (memoized —
-	// one per distinct geometry, not per key) and the voxel-domain
+	// index-build serial prologue, the tessellation builds (shared — one
+	// per resolution and CAD op, not per key) and the voxel-domain
 	// deposition/healing/support/washout block.
 	snap := reg.Snapshot()
 	if h, ok := snap.Stage("slicer.index.build.seconds"); ok {

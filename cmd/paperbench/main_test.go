@@ -24,6 +24,31 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
+// A shard child's address file can be seen before it is fully written:
+// empty, or holding part of the address. Only a newline-terminated line
+// counts as the address.
+func TestReadAddrFile(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "shard-0.addr")
+	if _, ok := readAddrFile(path); ok {
+		t.Error("missing file read as an address")
+	}
+	for _, partial := range []string{"", "127.0.0.1:", "127.0.0.1:45678", "\n"} {
+		if err := os.WriteFile(path, []byte(partial), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if addr, ok := readAddrFile(path); ok {
+			t.Errorf("partial file %q read as address %q", partial, addr)
+		}
+	}
+	if err := os.WriteFile(path, []byte("127.0.0.1:45678\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if addr, ok := readAddrFile(path); !ok || addr != "127.0.0.1:45678" {
+		t.Errorf("complete file read as %q, %v; want 127.0.0.1:45678", addr, ok)
+	}
+}
+
 func TestRunSingleExperiments(t *testing.T) {
 	// The fast experiments, one by one; the slow ones (table2, polyjet)
 	// are covered by the experiments package tests and the benchmarks.

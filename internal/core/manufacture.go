@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"obfuscade/internal/brep"
-	"obfuscade/internal/memo"
+	"obfuscade/internal/mesh"
 	"obfuscade/internal/obs"
 	"obfuscade/internal/printer"
 	"obfuscade/internal/supplychain"
+	"obfuscade/internal/tessellate"
 	"obfuscade/internal/trace"
 )
 
@@ -158,15 +160,21 @@ func Manufacture(prot *Protected, key Key, prof printer.Profile) (*ManufactureRe
 // parents to the span carried by ctx (typically a per-key span of the
 // quality matrix) and records the resulting grade once known.
 func ManufactureCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile) (*ManufactureResult, error) {
-	return ManufactureMemoCtx(ctx, prot, key, prof, nil)
+	return manufacture(ctx, prot, key, prof, nil)
 }
 
-// ManufactureMemoCtx is ManufactureCtx with a shared stage memo wired
-// into the process chain. Keys that agree on geometry-determining inputs
-// (CAD bytes, resolution) share tessellation work through mm; nil mm is
-// exactly ManufactureCtx. Outputs are byte-identical either way — the
-// memo trades only time and allocations, never content.
-func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof printer.Profile, mm *memo.Memo) (res *ManufactureResult, err error) {
+// sharedMesh is one tessellation shared by the keys of a quality matrix
+// that differ only in orientation: the first of them to run tessellates,
+// the others wait on the Once and orient their own clone.
+type sharedMesh struct {
+	once sync.Once
+	m    *mesh.Mesh
+	err  error
+}
+
+// manufacture is ManufactureCtx, taking its tessellation from shared
+// when shared is non-nil.
+func manufacture(ctx context.Context, prot *Protected, key Key, prof printer.Profile, shared *sharedMesh) (res *ManufactureResult, err error) {
 	span := stManufacture.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "core.manufacture")
 	defer func() {
@@ -185,9 +193,16 @@ func ManufactureMemoCtx(ctx context.Context, prot *Protected, key Key, prof prin
 		Resolution:  key.Resolution,
 		Orientation: key.Orientation,
 		Printer:     prof,
-		Memo:        mm,
 	}
-	run, err := pl.ExecuteCtx(ctx, part)
+	var master *mesh.Mesh
+	if shared != nil {
+		shared.once.Do(func() { shared.m, shared.err = tessellate.Tessellate(part, key.Resolution) })
+		if shared.err != nil {
+			return nil, fmt.Errorf("core: manufacture under %v: supplychain: STL export stage: %w", key, shared.err)
+		}
+		master = shared.m
+	}
+	run, err := pl.ExecuteMeshCtx(ctx, part, master)
 	if err != nil {
 		return nil, fmt.Errorf("core: manufacture under %v: %w", key, err)
 	}

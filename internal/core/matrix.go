@@ -7,7 +7,6 @@ import (
 
 	"obfuscade/internal/gcode"
 	"obfuscade/internal/mech"
-	"obfuscade/internal/memo"
 	"obfuscade/internal/obs"
 	"obfuscade/internal/parallel"
 	"obfuscade/internal/printer"
@@ -92,17 +91,29 @@ func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([
 	ctx, runSpan := trace.StartSpan(context.Background(), "run", "core.matrix",
 		trace.A("part", prot.Part.Name), trace.A("keys", fmt.Sprint(len(keys))))
 	entries := make([]MatrixEntry, len(keys))
-	// One stage memo per matrix pass: keys that share geometry-determining
-	// inputs (same CAD bytes + resolution across the two orientations)
-	// tessellate once and reuse. Unbounded is safe — residency is a handful
-	// of master meshes and z-sweep indexes, all released with the run.
-	mm := memo.New(0)
+	// Keys that differ only in orientation manufacture the same part at
+	// the same resolution, so each (resolution, CAD op) group shares one
+	// tessellation. The fan-out stays per key: a group's second key waits
+	// on the first one's tessellation, then orients its own clone.
+	type group struct {
+		res tessellate.Resolution
+		rs  bool
+	}
+	groups := make(map[group]*sharedMesh)
+	shared := make([]*sharedMesh, len(keys))
+	for i, k := range keys {
+		g := group{k.Resolution, k.RestoreSphere}
+		if groups[g] == nil {
+			groups[g] = new(sharedMesh)
+		}
+		shared[i] = groups[g]
+	}
 	err := parallel.ForEachCtx(ctx, len(keys), workers, func(tctx context.Context, i int) error {
 		key := keys[i]
 		entries[i].Key = key
 		kctx, ksp := trace.StartSpan(tctx, "key", key.String())
 		defer ksp.End()
-		res, err := ManufactureMemoCtx(kctx, prot, key, prof, mm)
+		res, err := manufacture(kctx, prot, key, prof, shared[i])
 		if err != nil {
 			entries[i].Err = err
 			fp := failedProvenance(prot.Part.Name, key, 0, err)

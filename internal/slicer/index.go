@@ -17,8 +17,8 @@ import (
 // indexed kernel visits, so layers_per_second regressions can be
 // correlated with workload growth rather than guessed at. The rejected
 // counter counts injected indexes that failed the compatibility guard
-// (a caller bug — content-addressed memo keys make it structurally
-// impossible); they fall back to a fresh build, never to wrong output.
+// (a caller bug: the index was built for another mesh or layer grid);
+// they fall back to a fresh build, never to wrong output.
 var (
 	stIndexBuild    = obs.Stage("slicer.index.build")
 	mIndexTris      = obs.Default().Counter("slicer.index.triangles")
@@ -71,7 +71,7 @@ func layerSpan(zmin, zmax, minZ, h float64, nLayers int) (lo, hi int) {
 // buildSweepIndex builds the per-shell layer buckets for a slice run.
 // The stage span and timing are emitted here — not at the call sites —
 // so the trace census and stage histograms are identical whether the
-// index is built inline by SliceCtx or inside a memo build closure.
+// index is built inline by SliceCtx or ahead of time by BuildIndex.
 func buildSweepIndex(ctx context.Context, m *mesh.Mesh, minZ, layerH float64, nLayers int) *sweepIndex {
 	span := stIndexBuild.Start()
 	defer span.End()
@@ -128,8 +128,8 @@ func buildSweepIndex(ctx context.Context, m *mesh.Mesh, minZ, layerH float64, nL
 
 // Index is an immutable, shareable z-sweep index over one oriented mesh
 // at one layer height — the serial prologue of a slice run, detached so
-// near-duplicate jobs (the same STL bytes sliced again, e.g. by a stage
-// memo replaying a matrix key) reuse it instead of rebuilding. It holds
+// it can be built and timed on its own (perfbench replays each stage
+// separately) or reused to slice the same mesh again. It holds
 // only triangle ordinals, never mesh pointers, so it is valid for any
 // mesh whose triangles are byte-identical to the one it was built from;
 // the compatibility guard in SliceIndexedCtx re-derives the cheap shape
@@ -139,8 +139,8 @@ type Index struct {
 	minZ        float64
 	layerHeight float64
 	nLayers     int
-	// shellTris is the per-shell triangle count — with the content hash
-	// the memo keys on, enough to reject a structurally foreign mesh.
+	// shellTris is the per-shell triangle count — with the layer grid,
+	// enough to reject a structurally foreign mesh.
 	shellTris []int
 }
 
@@ -184,15 +184,6 @@ func BuildIndex(ctx context.Context, m *mesh.Mesh, opts Options) (*Index, error)
 	}
 	ix.sweep = buildSweepIndex(ctx, m, bounds.Min.Z, opts.LayerHeight, nLayers)
 	return ix, nil
-}
-
-// SizeBytes reports the index's memory residency, for memo byte budgets.
-func (ix *Index) SizeBytes() int64 {
-	var n int64
-	for _, sh := range ix.sweep.shells {
-		n += int64(len(sh.off)+len(sh.tris)) * 4
-	}
-	return n + int64(len(ix.shellTris))*8
 }
 
 // compatible reports whether the index was built for exactly this layer

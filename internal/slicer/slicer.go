@@ -157,8 +157,8 @@ func SliceCtx(ctx context.Context, m *mesh.Mesh, opts Options) (*Result, error) 
 
 // SliceIndexedCtx is SliceCtx with an optional pre-built z-sweep index
 // (BuildIndex). A nil index is built inline, exactly as SliceCtx always
-// has; an injected index skips the serial build prologue — the whole
-// point of memoizing it across near-duplicate jobs. An injected index
+// has; an injected index skips the serial build prologue, so a caller
+// can time the index build and the slice separately. An injected index
 // that fails the compatibility guard (wrong layer grid or shell shape —
 // a caller bug) is counted on slicer.index.rejected and rebuilt, so a
 // bad injection can cost time but never correctness.
@@ -193,8 +193,8 @@ func SliceIndexedCtx(ctx context.Context, m *mesh.Mesh, opts Options, ix *Index)
 	// The sweep index is built once, serially, before the fan-out: every
 	// layer bucket then holds exactly the triangles whose z-extent spans
 	// that plane, so each layer task does O(crossings) work instead of
-	// rescanning the whole shell. An injected index (same content-hashed
-	// mesh sliced under the same grid) skips that serial prologue.
+	// rescanning the whole shell. An injected index (same mesh sliced
+	// under the same grid) skips that serial prologue.
 	var idx *sweepIndex
 	if ix != nil && ix.compatible(m, bounds.Min.Z, opts.LayerHeight, nLayers) {
 		idx = ix.sweep

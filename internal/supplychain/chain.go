@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"strconv"
 	"time"
 
 	"obfuscade/internal/brep"
@@ -12,7 +11,6 @@ import (
 	"obfuscade/internal/gcode"
 	"obfuscade/internal/geom"
 	"obfuscade/internal/mech"
-	"obfuscade/internal/memo"
 	"obfuscade/internal/mesh"
 	"obfuscade/internal/printer"
 	"obfuscade/internal/slicer"
@@ -20,14 +18,6 @@ import (
 	"obfuscade/internal/tessellate"
 	"obfuscade/internal/trace"
 )
-
-// memoSchema versions the memoized stage artifacts. Bump it whenever a
-// stage's output bytes change for the same inputs (the memo analogue of
-// the core.PipelineVersion bump that invalidates the serving cache) so a
-// long-lived memo can never serve stale geometry across a deploy.
-// Per-run memos — the default the quality matrix uses — die with the run
-// and need no invalidation at all.
-const memoSchema = "supplychain/1"
 
 // Pipeline is the full cloud-aware AM process chain of paper Fig. 1:
 // CAD -> (FEA) -> STL -> slicing/G-code -> printing -> testing. Each
@@ -48,12 +38,6 @@ type Pipeline struct {
 	// RunFEA enables the design-stage FEA pass (paper Fig. 3's model
 	// optimisation step); adds runtime.
 	RunFEA bool
-	// Memo, when non-nil, memoizes the content-addressed stage artifacts
-	// (tessellated master mesh, slicer z-sweep index) so near-duplicate
-	// keys — same geometry at a different orientation or a repeated run —
-	// share the serial prologue work instead of redoing it. Nil keeps the
-	// reference path; outputs are byte-identical either way.
-	Memo *memo.Memo
 }
 
 // DefaultPipeline returns the paper's baseline process: Coarse STL,
@@ -89,7 +73,8 @@ type Run struct {
 	// FEA (1 when RunFEA is off or no concentrator is present).
 	DesignKt float64
 	// StageSeconds records each stage's wall time, keyed by stage name
-	// (cad, stl, slice, toolpath, gcode, print, fea). Values are
+	// (cad, stl, slice, toolpath, gcode, print, fea); stl includes
+	// tessellation only when the run tessellates inline. Values are
 	// wall-clock-derived and excluded from determinism contracts; the
 	// key set is fixed by the pipeline shape.
 	StageSeconds map[string]float64
@@ -105,6 +90,14 @@ func (p Pipeline) Execute(part *brep.Part) (*Run, error) {
 // matrix) and the per-stage wall times are retained in Run.StageSeconds
 // for the provenance manifest.
 func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error) {
+	return p.ExecuteMeshCtx(ctx, part, nil)
+}
+
+// ExecuteMeshCtx is ExecuteCtx on a tessellation the caller already
+// holds: master must be tessellate.Tessellate(part, p.Resolution). The
+// run orients a clone, so master stays read-only and keys that differ
+// only in orientation can share it. A nil master is tessellated inline.
+func (p Pipeline) ExecuteMeshCtx(ctx context.Context, part *brep.Part, master *mesh.Mesh) (*Run, error) {
 	if err := p.Printer.Validate(); err != nil {
 		return nil, err
 	}
@@ -125,8 +118,10 @@ func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error)
 	run.CADBytes = cadBytes
 	mark("cad")
 
-	m, err := p.tessellated(ctx, part, cadBytes)
-	if err != nil {
+	m := master
+	if m != nil {
+		m = m.Clone() // master may be shared; orient a copy
+	} else if m, err = tessellate.Tessellate(part, p.Resolution); err != nil {
 		return nil, fmt.Errorf("supplychain: STL export stage: %w", err)
 	}
 	if p.Orientation == mech.XZ {
@@ -150,11 +145,7 @@ func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error)
 	}
 	sliceOpts.LayerHeight = p.Printer.LayerHeight
 	sliceOpts.RoadWidth = p.Printer.RoadWidth
-	idx, err := p.sweepIndex(ctx, m, cadBytes, sliceOpts)
-	if err != nil {
-		return nil, fmt.Errorf("supplychain: slicing stage: %w", err)
-	}
-	sliced, err := slicer.SliceIndexedCtx(ctx, m, sliceOpts, idx)
+	sliced, err := slicer.SliceCtx(ctx, m, sliceOpts)
 	if err != nil {
 		return nil, fmt.Errorf("supplychain: slicing stage: %w", err)
 	}
@@ -190,65 +181,6 @@ func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error)
 		mark("fea")
 	}
 	return run, nil
-}
-
-// resKey canonically encodes a Resolution for memo keys.
-func resKey(r tessellate.Resolution) []byte {
-	return []byte(r.Name + "|" +
-		strconv.FormatFloat(r.Deviation, 'g', -1, 64) + "|" +
-		strconv.FormatFloat(r.AngleDeg, 'g', -1, 64))
-}
-
-// tessellated returns the tessellated master mesh for the part, through
-// the memo when one is wired. Memoized meshes are shared and immutable:
-// every consumer — including the call that built the entry — receives a
-// Clone, so the orientation transform downstream can never corrupt a
-// value another matrix key is about to reuse.
-func (p Pipeline) tessellated(ctx context.Context, part *brep.Part, cadBytes []byte) (*mesh.Mesh, error) {
-	if p.Memo == nil {
-		return tessellate.Tessellate(part, p.Resolution)
-	}
-	key := memo.Keyed("tess", memoSchema, cadBytes, resKey(p.Resolution))
-	v, _, err := p.Memo.Do(ctx, key, func(context.Context) (any, int64, error) {
-		m, err := tessellate.Tessellate(part, p.Resolution)
-		if err != nil {
-			return nil, 0, err
-		}
-		// 72 bytes of vertex data per triangle plus per-shell headers.
-		return m, int64(m.TriangleCount())*72 + int64(len(m.Shells))*128, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*mesh.Mesh).Clone(), nil
-}
-
-// sweepIndex returns the slicer's z-sweep index for the oriented mesh,
-// through the memo when one is wired; without a memo it returns nil and
-// SliceIndexedCtx builds inline — exactly the reference path. The key
-// derives from the same content that determined the mesh (CAD bytes,
-// resolution, orientation) plus the layer height, never from the mesh
-// pointer, so a hit can only ever describe identical geometry; the
-// slicer's compatibility guard backstops even that with a counted
-// rebuild rather than wrong output.
-func (p Pipeline) sweepIndex(ctx context.Context, m *mesh.Mesh, cadBytes []byte, opts slicer.Options) (*slicer.Index, error) {
-	if p.Memo == nil {
-		return nil, nil
-	}
-	key := memo.Keyed("zidx", memoSchema, cadBytes, resKey(p.Resolution),
-		[]byte(fmt.Sprint(p.Orientation)),
-		[]byte(strconv.FormatFloat(opts.LayerHeight, 'g', -1, 64)))
-	v, _, err := p.Memo.Do(ctx, key, func(ctx context.Context) (any, int64, error) {
-		ix, err := slicer.BuildIndex(ctx, m, opts)
-		if err != nil {
-			return nil, 0, err
-		}
-		return ix, ix.SizeBytes(), nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return v.(*slicer.Index), nil
 }
 
 // designKt runs the Fig. 9 slit analysis when the build contains a seam;

@@ -29,7 +29,7 @@
 //     skip there means the environment regressed. On multi-proc reports
 //     the pool must additionally reach -min-matrix-speedup over the
 //     serial run (machine-independent: both columns come from the same
-//     report) — the shared-geometry memoization and zero-alloc hot
+//     report) — the per-group shared tessellation and zero-alloc hot
 //     paths exist to keep this floor reachable. The floor itself skips
 //     (with a warning) when min(num_cpu, workers) cannot physically
 //     reach it: GOMAXPROCS can be env-pinned above the core count, so
@@ -209,9 +209,9 @@ func evaluate(base, cur benchReport, opts gateOpts) gateResult {
 				"parallel matrix (%.3fs) slower than %.2fx the serial run (%.3fs) on %d CPUs",
 				cur.Matrix.ParallelSeconds, opts.MaxSerialRatio, cur.Matrix.SerialSeconds, cur.GOMAXPROCS))
 		}
-		// Speedup floor: the memoized tessellation/index sharing plus the
-		// pooled hot paths are supposed to keep the matrix compute-bound,
-		// so a multi-proc pool that cannot clear the floor means the
+		// Speedup floor: the shared per-group tessellation plus the pooled
+		// hot paths are supposed to keep the matrix compute-bound, so a
+		// multi-proc pool that cannot clear the floor means the
 		// parallel path regressed even if absolute wall times still fit
 		// the cross-machine tolerance. The ideal speedup is bounded by
 		// min(CPUs, workers) — GOMAXPROCS can be env-pinned above the
