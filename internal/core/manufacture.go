@@ -163,18 +163,21 @@ func ManufactureCtx(ctx context.Context, prot *Protected, key Key, prof printer.
 	return manufacture(ctx, prot, key, prof, nil)
 }
 
-// sharedMesh is one tessellation shared by the keys of a quality matrix
-// that differ only in orientation: the first of them to run tessellates,
-// the others wait on the Once and orient their own clone.
-type sharedMesh struct {
+// sharedGroup is the work shared by the keys of a quality matrix that
+// differ only in orientation: they manufacture the same part at the same
+// resolution, so one CAD file and one tessellation serve them all. The
+// first of them to run saves and tessellates; the others wait on the
+// Once, then orient their own clone of the mesh.
+type sharedGroup struct {
 	once sync.Once
+	cad  []byte
 	m    *mesh.Mesh
 	err  error
 }
 
-// manufacture is ManufactureCtx, taking its tessellation from shared
-// when shared is non-nil.
-func manufacture(ctx context.Context, prot *Protected, key Key, prof printer.Profile, shared *sharedMesh) (res *ManufactureResult, err error) {
+// manufacture is ManufactureCtx, taking its CAD file and tessellation
+// from shared when shared is non-nil.
+func manufacture(ctx context.Context, prot *Protected, key Key, prof printer.Profile, shared *sharedGroup) (res *ManufactureResult, err error) {
 	span := stManufacture.Start()
 	ctx, tsp := trace.StartSpan(ctx, "stage", "core.manufacture")
 	defer func() {
@@ -194,15 +197,24 @@ func manufacture(ctx context.Context, prot *Protected, key Key, prof printer.Pro
 		Orientation: key.Orientation,
 		Printer:     prof,
 	}
-	var master *mesh.Mesh
+	var (
+		master   *mesh.Mesh
+		cadBytes []byte
+	)
 	if shared != nil {
-		shared.once.Do(func() { shared.m, shared.err = tessellate.Tessellate(part, key.Resolution) })
+		shared.once.Do(func() {
+			if shared.cad, shared.err = brep.Save(part); shared.err != nil {
+				shared.err = fmt.Errorf("supplychain: CAD stage: %w", shared.err)
+			} else if shared.m, shared.err = tessellate.Tessellate(part, key.Resolution); shared.err != nil {
+				shared.err = fmt.Errorf("supplychain: STL export stage: %w", shared.err)
+			}
+		})
 		if shared.err != nil {
-			return nil, fmt.Errorf("core: manufacture under %v: supplychain: STL export stage: %w", key, shared.err)
+			return nil, fmt.Errorf("core: manufacture under %v: %w", key, shared.err)
 		}
-		master = shared.m
+		master, cadBytes = shared.m, shared.cad
 	}
-	run, err := pl.ExecuteMeshCtx(ctx, part, master)
+	run, err := pl.ExecuteMeshCtx(ctx, part, master, cadBytes)
 	if err != nil {
 		return nil, fmt.Errorf("core: manufacture under %v: %w", key, err)
 	}

@@ -91,23 +91,7 @@ func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([
 	ctx, runSpan := trace.StartSpan(context.Background(), "run", "core.matrix",
 		trace.A("part", prot.Part.Name), trace.A("keys", fmt.Sprint(len(keys))))
 	entries := make([]MatrixEntry, len(keys))
-	// Keys that differ only in orientation manufacture the same part at
-	// the same resolution, so each (resolution, CAD op) group shares one
-	// tessellation. The fan-out stays per key: a group's second key waits
-	// on the first one's tessellation, then orients its own clone.
-	type group struct {
-		res tessellate.Resolution
-		rs  bool
-	}
-	groups := make(map[group]*sharedMesh)
-	shared := make([]*sharedMesh, len(keys))
-	for i, k := range keys {
-		g := group{k.Resolution, k.RestoreSphere}
-		if groups[g] == nil {
-			groups[g] = new(sharedMesh)
-		}
-		shared[i] = groups[g]
-	}
+	shared := shareGroups(keys)
 	err := parallel.ForEachCtx(ctx, len(keys), workers, func(tctx context.Context, i int) error {
 		key := keys[i]
 		entries[i].Key = key
@@ -148,6 +132,28 @@ func QualityMatrixWorkers(prot *Protected, prof printer.Profile, workers int) ([
 	runSpan.End()
 	span.EndErr(err)
 	return entries, err
+}
+
+// shareGroups gives each key its group's shared work. Keys that differ
+// only in orientation manufacture the same part at the same resolution,
+// so each (resolution, CAD op) group shares one CAD save and one
+// tessellation. The fan-out stays per key: a group's second key waits on
+// the first one's save and tessellation, then orients its own clone.
+func shareGroups(keys []Key) []*sharedGroup {
+	type group struct {
+		res tessellate.Resolution
+		rs  bool
+	}
+	groups := make(map[group]*sharedGroup)
+	shared := make([]*sharedGroup, len(keys))
+	for i, k := range keys {
+		g := group{k.Resolution, k.RestoreSphere}
+		if groups[g] == nil {
+			groups[g] = new(sharedGroup)
+		}
+		shared[i] = groups[g]
+	}
+	return shared
 }
 
 // GoodKeys filters the matrix for keys that produce Good parts. Failed

@@ -111,10 +111,10 @@ func (p Polygon) Bounds() Bounds2 {
 	inf := math.Inf(1)
 	b := Bounds2{Min: Vec2{inf, inf}, Max: Vec2{-inf, -inf}}
 	for _, v := range p {
-		b.Min.X = math.Min(b.Min.X, v.X)
-		b.Min.Y = math.Min(b.Min.Y, v.Y)
-		b.Max.X = math.Max(b.Max.X, v.X)
-		b.Max.Y = math.Max(b.Max.Y, v.Y)
+		b.Min.X = fmin(b.Min.X, v.X)
+		b.Min.Y = fmin(b.Min.Y, v.Y)
+		b.Max.X = fmax(b.Max.X, v.X)
+		b.Max.Y = fmax(b.Max.Y, v.Y)
 	}
 	return b
 }
@@ -341,10 +341,10 @@ func (s PolygonSet) Bounds() Bounds2 {
 	b := Bounds2{Min: Vec2{inf, inf}, Max: Vec2{-inf, -inf}}
 	for _, p := range s {
 		pb := p.Bounds()
-		b.Min.X = math.Min(b.Min.X, pb.Min.X)
-		b.Min.Y = math.Min(b.Min.Y, pb.Min.Y)
-		b.Max.X = math.Max(b.Max.X, pb.Max.X)
-		b.Max.Y = math.Max(b.Max.Y, pb.Max.Y)
+		b.Min.X = fmin(b.Min.X, pb.Min.X)
+		b.Min.Y = fmin(b.Min.Y, pb.Min.Y)
+		b.Max.X = fmax(b.Max.X, pb.Max.X)
+		b.Max.Y = fmax(b.Max.Y, pb.Max.Y)
 	}
 	return b
 }

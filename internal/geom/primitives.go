@@ -13,10 +13,11 @@ func EmptyAABB() AABB {
 	return AABB{Min: Vec3{inf, inf, inf}, Max: Vec3{-inf, -inf, -inf}}
 }
 
-// Extend grows the box to contain p.
+// Extend grows the box to contain p. It is Min and Max written out per
+// component, so a per-vertex bounds pass makes one call, not three.
 func (b *AABB) Extend(p Vec3) {
-	b.Min = b.Min.Min(p)
-	b.Max = b.Max.Max(p)
+	b.Min = Vec3{fmin(b.Min.X, p.X), fmin(b.Min.Y, p.Y), fmin(b.Min.Z, p.Z)}
+	b.Max = Vec3{fmax(b.Max.X, p.X), fmax(b.Max.Y, p.Y), fmax(b.Max.Z, p.Z)}
 }
 
 // Union returns the smallest box containing both a and o.

@@ -146,14 +146,38 @@ func (a Vec3) Eq(b Vec3, tol float64) bool { return a.DistSq(b) <= tol*tol }
 // XY projects a onto the XY plane.
 func (a Vec3) XY() Vec2 { return Vec2{a.X, a.Y} }
 
-// Min returns the component-wise minimum of a and b.
+// Min returns the component-wise minimum of a and b, with math.Min's
+// results bit for bit.
 func (a Vec3) Min(b Vec3) Vec3 {
-	return Vec3{math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.Z, b.Z)}
+	return Vec3{fmin(a.X, b.X), fmin(a.Y, b.Y), fmin(a.Z, b.Z)}
 }
 
-// Max returns the component-wise maximum of a and b.
+// Max returns the component-wise maximum of a and b, with math.Max's
+// results bit for bit.
 func (a Vec3) Max(b Vec3) Vec3 {
-	return Vec3{math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z)}
+	return Vec3{fmax(a.X, b.X), fmax(a.Y, b.Y), fmax(a.Z, b.Z)}
+}
+
+// fmin is math.Min with every non-NaN case inlined: bounding-box passes
+// call it per vertex, and math.Min is an assembly routine the compiler
+// cannot inline. Without NaN operands the builtin min gives math.Min's
+// result bit for bit, -0 below +0 included. With one it does not: it
+// answers NaN for min(-Inf, NaN) where math.Min answers -Inf, and it
+// passes the NaN operand through where math.Min returns its canonical
+// NaN. So NaN operands still take math.Min.
+func fmin(x, y float64) float64 {
+	if x != x || y != y {
+		return math.Min(x, y)
+	}
+	return min(x, y)
+}
+
+// fmax is math.Max with every non-NaN case inlined; see fmin.
+func fmax(x, y float64) float64 {
+	if x != x || y != y {
+		return math.Max(x, y)
+	}
+	return max(x, y)
 }
 
 // Abs returns the component-wise absolute value of a.

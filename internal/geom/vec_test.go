@@ -127,3 +127,40 @@ func clampMag(v float64) float64 {
 	}
 	return Clamp(v, -1e6, 1e6)
 }
+
+// Vec3.Min/Max, AABB.Extend and the polygon bounds take the builtin
+// min/max for non-NaN operands and math.Min/math.Max otherwise. Pin that
+// they give math.Min/math.Max's results bit for bit on every pair drawn
+// from {±0, ±1, ±Inf, NaN} — NaN of either sign — in every component.
+func TestVec3MinMaxMatchMath(t *testing.T) {
+	nan := math.NaN()
+	vals := []float64{0, math.Copysign(0, -1), 1, -1, math.Inf(1), math.Inf(-1), nan, math.Copysign(nan, -1)}
+	for _, x := range vals {
+		for _, y := range vals {
+			a, b := V3(x, -y, y), V3(y, x, -x)
+			gotMin, gotMax := a.Min(b), a.Max(b)
+			wantMin := V3(math.Min(a.X, b.X), math.Min(a.Y, b.Y), math.Min(a.Z, b.Z))
+			wantMax := V3(math.Max(a.X, b.X), math.Max(a.Y, b.Y), math.Max(a.Z, b.Z))
+			if vecBits(gotMin) != vecBits(wantMin) {
+				t.Errorf("%v.Min(%v) = %v, math.Min gives %v", a, b, gotMin, wantMin)
+			}
+			if vecBits(gotMax) != vecBits(wantMax) {
+				t.Errorf("%v.Max(%v) = %v, math.Max gives %v", a, b, gotMax, wantMax)
+			}
+			box := AABB{Min: a, Max: a}
+			box.Extend(b)
+			if vecBits(box.Min) != vecBits(wantMin) || vecBits(box.Max) != vecBits(wantMax) {
+				t.Errorf("box at %v extended by %v = %v, math.Min/Max give %v, %v", a, b, box, wantMin, wantMax)
+			}
+			p := Polygon{a.XY(), b.XY()}.Bounds()
+			if vecBits(V3(p.Min.X, p.Min.Y, 0)) != vecBits(V3(wantMin.X, wantMin.Y, 0)) ||
+				vecBits(V3(p.Max.X, p.Max.Y, 0)) != vecBits(V3(wantMax.X, wantMax.Y, 0)) {
+				t.Errorf("bounds of %v, %v = %v, math.Min/Max give %v, %v", a.XY(), b.XY(), p, wantMin, wantMax)
+			}
+		}
+	}
+}
+
+func vecBits(v Vec3) [3]uint64 {
+	return [3]uint64{math.Float64bits(v.X), math.Float64bits(v.Y), math.Float64bits(v.Z)}
+}

@@ -41,16 +41,11 @@ func VoxelizeMesh(m *mesh.Mesh, cell, cellZ float64) (*voxel.Grid, error) {
 		grid.Origin.Y+float64(grid.NY)*cell,
 	)
 	for li := range sliced.Layers {
-		r, err := sliced.Layers[li].Rasterize(rmin, rmax, cell, nil)
+		err := sliced.Layers[li].ModelRuns(rmin, rmax, cell, func(iy, x0, x1 int) {
+			grid.FillRow(x0, x1, iy, li, voxel.Model)
+		})
 		if err != nil {
 			return nil, err
-		}
-		for iy := 0; iy < r.NY && iy < grid.NY; iy++ {
-			for ix := 0; ix < r.NX && ix < grid.NX; ix++ {
-				if r.At(ix, iy) == slicer.Model {
-					grid.Set(ix, iy, li, voxel.Model)
-				}
-			}
 		}
 	}
 	return grid, nil

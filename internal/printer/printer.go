@@ -252,30 +252,21 @@ func PrintCtx(ctx context.Context, sliced *slicer.Result, prof Profile, opts Opt
 	b := &Build{Profile: prof, Grid: grid, LayerCount: len(sliced.Layers)}
 
 	vspan := stVoxel.Start()
-	// Deposit model material layer by layer. One raster's cell arrays are
-	// recycled across the whole loop: every layer shares the same bounds
-	// and cell size, so after the first layer RasterizeInto never
-	// allocates the big Class/Owner stores again.
+	// Deposit model material layer by layer from each layer's rows of
+	// Model runs.
 	rmin := grid.Origin.XY()
 	rmax := geom.V2(
 		grid.Origin.X+float64(grid.NX)*cell,
 		grid.Origin.Y+float64(grid.NY)*cell,
 	)
-	var r *slicer.Raster
 	for li := range sliced.Layers {
-		layer := &sliced.Layers[li]
-		r, err = layer.RasterizeInto(rmin, rmax, cell, nil, r)
+		zi := li / layersPerSlab
+		err = sliced.Layers[li].ModelRuns(rmin, rmax, cell, func(iy, x0, x1 int) {
+			grid.FillRow(x0, x1, iy, zi, voxel.Model)
+		})
 		if err != nil {
 			vspan.End()
 			return nil, fmt.Errorf("printer: layer %d: %w", li, err)
-		}
-		zi := li / layersPerSlab
-		for iy := 0; iy < r.NY && iy < grid.NY; iy++ {
-			for ix := 0; ix < r.NX && ix < grid.NX; ix++ {
-				if r.At(ix, iy) == slicer.Model {
-					grid.Set(ix, iy, zi, voxel.Model)
-				}
-			}
 		}
 	}
 

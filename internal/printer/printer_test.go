@@ -12,7 +12,7 @@ import (
 	"obfuscade/internal/voxel"
 )
 
-func sliceMesh(t *testing.T, m *mesh.Mesh, layerHeight float64) *slicer.Result {
+func sliceMesh(t testing.TB, m *mesh.Mesh, layerHeight float64) *slicer.Result {
 	t.Helper()
 	opts := slicer.DefaultOptions()
 	opts.LayerHeight = layerHeight
@@ -158,7 +158,9 @@ func TestEmbeddedSpherePrinting(t *testing.T) {
 	}
 }
 
-func buildSplitBar(t *testing.T, res tessellate.Resolution, xz bool) *Build {
+// sliceSplitBar slices the paper's spline-split tensile bar at the FDM
+// layer height, flat (x-y) or on edge (x-z).
+func sliceSplitBar(t testing.TB, res tessellate.Resolution, xz bool) *slicer.Result {
 	t.Helper()
 	p, err := brep.NewTensileBar("bar", brep.DefaultTensileBar())
 	if err != nil {
@@ -180,9 +182,12 @@ func buildSplitBar(t *testing.T, res tessellate.Resolution, xz bool) *Build {
 		b := m.Bounds()
 		m.Transform(geom.Translate(geom.V3(0, -b.Min.Y, -b.Min.Z)))
 	}
-	prof := DimensionElite()
-	sliced := sliceMesh(t, m, prof.LayerHeight)
-	b, err := Print(sliced, prof, Options{})
+	return sliceMesh(t, m, DimensionElite().LayerHeight)
+}
+
+func buildSplitBar(t *testing.T, res tessellate.Resolution, xz bool) *Build {
+	t.Helper()
+	b, err := Print(sliceSplitBar(t, res, xz), DimensionElite(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -144,6 +144,8 @@ func TestSanitizeBadInput(t *testing.T) {
 		{"bad quantum", s.URL() + "/sanitize?quantum=zero", []byte("x"), http.StatusBadRequest},
 		{"negative quantum", s.URL() + "/sanitize?quantum=-1", []byte("x"), http.StatusBadRequest},
 		{"oversize", s.URL() + "/sanitize", make([]byte, MaxSanitizeBytes+1), http.StatusRequestEntityTooLarge},
+		// 1e100 parses as a finite float64 but has no float32 value.
+		{"beyond float32", s.URL() + "/sanitize", []byte("solid\nvertex 0 0 0\nvertex 0 0 1e100\nvertex 0 0 0\nendfacet"), http.StatusUnprocessableEntity},
 	}
 	for _, tc := range cases {
 		_, resp := postSanitize(t, tc.url, tc.body)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 
 	"obfuscade/internal/geom"
@@ -211,17 +212,80 @@ type chainSeg struct{ a, b geom.Vec2 }
 // fan-out stays allocation-flat regardless of layer count.
 type chainScratch struct {
 	segs    []chainSeg
-	cellOf  map[[2]int64]int32 // quantised start point -> dense cell id
-	segCell []int32            // per segment: its cell id
-	cellCnt []int32            // per cell: live entry count (shrinks on take)
-	cellOff []int32            // per cell: arena offset
-	entries []int32            // arena of segment indices, ascending per cell
-	used    []bool             // consumed segments (loop seeds and takes)
+	cells   cellTable // quantised start point -> dense cell id
+	segCell []int32   // per segment: its cell id
+	cellCnt []int32   // per cell: live entry count (shrinks on take)
+	cellOff []int32   // per cell: arena offset
+	entries []int32   // arena of segment indices, ascending per cell
+	used    []bool    // consumed segments (loop seeds and takes)
 }
 
-var chainScratchPool = sync.Pool{New: func() any {
-	return &chainScratch{cellOf: make(map[[2]int64]int32)}
-}}
+var chainScratchPool = sync.Pool{New: func() any { return new(chainScratch) }}
+
+// cellTable maps quantised snap-grid points to dense cell ids, assigned
+// 0, 1, 2, ... in first-seen order. It is an open-addressing hash table
+// with linear probing over a power-of-two slot array, kept at most half
+// full. Chaining looks up nine cells per step, so a pooled flat table
+// replaces a Go map: no per-lookup hashing of a [2]int64 key through the
+// runtime, and reset costs one clear of the slots in use.
+type cellTable struct {
+	keys  [][2]int64 // by id
+	slots []int32    // id+1 per slot; 0 marks an empty slot
+	shift uint       // 64 - log2(len(slots))
+}
+
+// reset empties the table, sized for about hint distinct keys.
+func (t *cellTable) reset(hint int) {
+	size := 16
+	for size < 2*hint {
+		size *= 2
+	}
+	if cap(t.slots) < size {
+		t.slots = make([]int32, size)
+	} else {
+		t.slots = t.slots[:size]
+		clear(t.slots)
+	}
+	t.keys = t.keys[:0]
+	t.shift = uint(64 - bits.TrailingZeros(uint(size)))
+}
+
+// find returns the slot holding k, or the empty slot where k would go.
+// The home slot is a multiplicative hash of both coordinates, read from
+// its high bits so keys that differ only in their low bits still spread.
+func (t *cellTable) find(k [2]int64) int {
+	mask := len(t.slots) - 1
+	i := int((uint64(k[0])*0x9e3779b97f4a7c15 ^ uint64(k[1])) * 0xc2b2ae3d27d4eb4f >> t.shift)
+	for t.slots[i] != 0 && t.keys[t.slots[i]-1] != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// id returns the id of k, assigning the next one if k is new.
+func (t *cellTable) id(k [2]int64) int32 {
+	i := t.find(k)
+	if t.slots[i] == 0 {
+		if 2*(len(t.keys)+1) > len(t.slots) {
+			// Double the slots and re-insert every key under its id.
+			t.slots = make([]int32, 2*len(t.slots))
+			t.shift--
+			for id, old := range t.keys {
+				t.slots[t.find(old)] = int32(id) + 1
+			}
+			i = t.find(k)
+		}
+		t.keys = append(t.keys, k)
+		t.slots[i] = int32(len(t.keys))
+	}
+	return t.slots[i] - 1
+}
+
+// lookup returns the id of k, or false when k was never assigned one.
+func (t *cellTable) lookup(k [2]int64) (int32, bool) {
+	s := t.slots[t.find(k)]
+	return s - 1, s != 0
+}
 
 // grow returns b resized to n, reallocating only when capacity is short.
 // Contents are unspecified; callers overwrite or zero what they need.

@@ -90,10 +90,11 @@ type rasterEdge struct {
 	body  int32
 }
 
-// rasterScratch is the reusable working set of one Rasterize call: the
+// rasterScratch is the reusable working set of one scanline pass: the
 // flat edge list, the per-row bucket arena, the crossing list and the
 // per-body winding accumulator. Pooled so repeated rasterization (the
-// toolpath planner calls Rasterize once per layer) stays allocation-flat.
+// toolpath planner once per layer, the virtual printer's deposit once per
+// layer) stays allocation-flat.
 type rasterScratch struct {
 	edges     []rasterEdge
 	rowCnt    []int32
@@ -121,64 +122,33 @@ func rowSpan(yLo, yHi, minY, cell float64, ny int) (lo, hi int) {
 	return lo, hi
 }
 
-// Rasterize classifies the layer over the given 2D bounds with the given
-// cell size. Edges are flattened and bucketed by row interval once, so
-// each scanline visits only the edges that can cross it
-// (O(edges + crossings + cells) instead of O(rows * edges)).
-//
-// The per-row crossing list is built by ascending edge index — the same
-// order the naive full scan produces — and equal-x crossings are consumed
-// together before any cell is classified, so the output is byte-identical
-// to rasterizeNaive.
-func (l *Layer) Rasterize(min, max geom.Vec2, cell float64, bodies []string) (*Raster, error) {
-	return l.RasterizeInto(min, max, cell, bodies, nil)
-}
-
-// RasterizeInto is Rasterize recycling the cell arrays of a previous
-// raster: when reuse is non-nil its Class/Owner backing stores are stolen
-// (cleared, resized) for the new result, so a caller rasterizing many
-// layers of one build — the virtual printer's deposit loop — allocates
-// the big arrays once instead of per layer. reuse must not be read
-// afterwards. Output is byte-identical to Rasterize.
-func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string, reuse *Raster) (*Raster, error) {
+// rasterDims validates a raster request and returns its grid size.
+func rasterDims(min, max geom.Vec2, cell float64) (nx, ny int, err error) {
 	if cell <= 0 {
-		return nil, fmt.Errorf("slicer: cell size must be positive, got %g", cell)
+		return 0, 0, fmt.Errorf("slicer: cell size must be positive, got %g", cell)
 	}
-	nx := int(math.Ceil((max.X - min.X) / cell))
-	ny := int(math.Ceil((max.Y - min.Y) / cell))
+	nx = int(math.Ceil((max.X - min.X) / cell))
+	ny = int(math.Ceil((max.Y - min.Y) / cell))
 	if nx <= 0 || ny <= 0 {
-		return nil, fmt.Errorf("slicer: empty raster bounds")
+		return 0, 0, fmt.Errorf("slicer: empty raster bounds")
 	}
 	if nx*ny > 50_000_000 {
-		return nil, fmt.Errorf("slicer: raster %dx%d exceeds sanity limit", nx, ny)
+		return 0, 0, fmt.Errorf("slicer: raster %dx%d exceeds sanity limit", nx, ny)
 	}
-	bodyBit := make(map[string]int, len(bodies))
-	for i, b := range bodies {
-		if i >= 32 {
-			return nil, fmt.Errorf("slicer: more than 32 bodies not supported")
-		}
-		bodyBit[b] = i
-	}
-	r := &Raster{
-		Origin: min,
-		Cell:   cell,
-		NX:     nx,
-		NY:     ny,
-		Bodies: bodies,
-	}
-	if reuse != nil && cap(reuse.Class) >= nx*ny && cap(reuse.Owner) >= nx*ny {
-		r.Class = reuse.Class[:nx*ny]
-		clear(r.Class)
-		r.Owner = reuse.Owner[:nx*ny]
-		clear(r.Owner)
-	} else {
-		r.Class = make([]CellClass, nx*ny)
-		r.Owner = make([]uint32, nx*ny)
-	}
+	return nx, ny, nil
+}
 
-	sc := rasterScratchPool.Get().(*rasterScratch)
-	defer rasterScratchPool.Put(sc)
-
+// scanRows is the scanline kernel shared by Rasterize and ModelRuns. It
+// flattens the closed contours' edges, buckets them by row interval once,
+// and calls row for every scanline y = minY + (iy+0.5)*cell, iy ascending,
+// that has crossings — a row without any is all Empty. Each scanline
+// visits only the edges that can cross it (O(edges + crossings) instead
+// of O(rows * edges)).
+//
+// The crossings handed to row are sorted by x. Both consumers take
+// equal-x crossings at the same cell, so their relative order is
+// immaterial. The slice is scratch, valid only during the call.
+func (l *Layer) scanRows(sc *rasterScratch, minY, cell float64, ny int, bodyBit map[string]int, row func(iy int, xs []crossing)) {
 	// Flatten the closed contours' edges in contour order. Horizontal
 	// edges can never satisfy the half-open crossing rule and are dropped
 	// here once instead of per row.
@@ -210,9 +180,7 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 	// Bucket edges by row interval (count, prefix offsets, cursor fill).
 	// Filling in ascending edge order keeps every bucket ascending.
 	sc.rowCnt = grow(sc.rowCnt, ny)
-	for i := range sc.rowCnt {
-		sc.rowCnt[i] = 0
-	}
+	clear(sc.rowCnt)
 	total := 0
 	for ei := range edges {
 		e := &edges[ei]
@@ -220,7 +188,7 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 		if yLo > yHi {
 			yLo, yHi = yHi, yLo
 		}
-		lo, hi := rowSpan(yLo, yHi, min.Y, cell, ny)
+		lo, hi := rowSpan(yLo, yHi, minY, cell, ny)
 		for iy := lo; iy <= hi; iy++ {
 			sc.rowCnt[iy]++
 			total++
@@ -240,7 +208,7 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 		if yLo > yHi {
 			yLo, yHi = yHi, yLo
 		}
-		lo, hi := rowSpan(yLo, yHi, min.Y, cell, ny)
+		lo, hi := rowSpan(yLo, yHi, minY, cell, ny)
 		for iy := lo; iy <= hi; iy++ {
 			sc.entries[sc.rowOff[iy]] = int32(ei)
 			sc.rowOff[iy]++
@@ -249,18 +217,11 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 	for iy := ny - 1; iy > 0; iy-- {
 		sc.rowOff[iy] = sc.rowOff[iy-1]
 	}
-	if ny > 0 {
-		sc.rowOff[0] = 0
-	}
-
-	if cap(sc.bodyW) < len(bodies) {
-		sc.bodyW = make([]int, len(bodies))
-	}
-	bodyW := sc.bodyW[:len(bodies)]
+	sc.rowOff[0] = 0
 
 	crossings := sc.crossings
 	for iy := 0; iy < ny; iy++ {
-		y := min.Y + (float64(iy)+0.5)*cell
+		y := minY + (float64(iy)+0.5)*cell
 		crossings = crossings[:0]
 		for _, ei := range sc.entries[sc.rowOff[iy]:sc.rowOff[iy+1]] {
 			e := &edges[ei]
@@ -273,6 +234,9 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 			x := e.a.X + t*(e.b.X-e.a.X)
 			crossings = append(crossings, crossing{x: x, delta: e.delta, body: e.body})
 		}
+		if len(crossings) == 0 {
+			continue
+		}
 		slices.SortFunc(crossings, func(p, q crossing) int {
 			switch {
 			case p.x < q.x:
@@ -283,11 +247,47 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 				return 0
 			}
 		})
+		row(iy, crossings)
+	}
+	sc.crossings = crossings
+}
 
-		w := 0
-		for i := range bodyW {
-			bodyW[i] = 0
+// Rasterize classifies the layer over the given 2D bounds with the given
+// cell size. Cell (ix, iy) takes the winding of every crossing at or left
+// of its centre: equal-x crossings are consumed together before any cell
+// is classified, so the output is byte-identical to rasterizeNaive.
+func (l *Layer) Rasterize(min, max geom.Vec2, cell float64, bodies []string) (*Raster, error) {
+	nx, ny, err := rasterDims(min, max, cell)
+	if err != nil {
+		return nil, err
+	}
+	bodyBit := make(map[string]int, len(bodies))
+	for i, b := range bodies {
+		if i >= 32 {
+			return nil, fmt.Errorf("slicer: more than 32 bodies not supported")
 		}
+		bodyBit[b] = i
+	}
+	r := &Raster{
+		Origin: min,
+		Cell:   cell,
+		NX:     nx,
+		NY:     ny,
+		Class:  make([]CellClass, nx*ny),
+		Owner:  make([]uint32, nx*ny),
+		Bodies: bodies,
+	}
+
+	sc := rasterScratchPool.Get().(*rasterScratch)
+	defer rasterScratchPool.Put(sc)
+	if cap(sc.bodyW) < len(bodies) {
+		sc.bodyW = make([]int, len(bodies))
+	}
+	bodyW := sc.bodyW[:len(bodies)]
+
+	l.scanRows(sc, min.Y, cell, ny, bodyBit, func(iy int, crossings []crossing) {
+		w := 0
+		clear(bodyW)
 		ci := 0
 		for ix := 0; ix < nx; ix++ {
 			xc := min.X + (float64(ix)+0.5)*cell
@@ -314,13 +314,73 @@ func (l *Layer) RasterizeInto(min, max geom.Vec2, cell float64, bodies []string,
 				// cavity, doubly-covered sliver, or reversed surface
 				// enclosure.
 				r.Class[idx] = Void
-			default:
-				r.Class[idx] = Empty
 			}
 		}
-	}
-	sc.crossings = crossings
+	})
 	return r, nil
+}
+
+// ModelRuns reports the cells Rasterize over the same bounds and cell size
+// classifies Model, as runs: fill(iy, x0, x1) for each maximal run
+// [x0, x1) of row iy, rows ascending and runs left to right. No raster is
+// built — the work is proportional to the crossings, not the cells, which
+// is what the virtual printer's per-layer deposit needs.
+//
+// A crossing is consumed at the first cell, at or after the previous
+// crossing's, whose centre lies at or right of it: the rule Rasterize
+// applies cell by cell, located here by one estimate plus an exact
+// correction against the same centre expression, so the runs match
+// Rasterize's Model cells exactly.
+func (l *Layer) ModelRuns(min, max geom.Vec2, cell float64, fill func(iy, x0, x1 int)) error {
+	nx, ny, err := rasterDims(min, max, cell)
+	if err != nil {
+		return err
+	}
+	sc := rasterScratchPool.Get().(*rasterScratch)
+	defer rasterScratchPool.Put(sc)
+	centre := func(ix int) float64 { return min.X + (float64(ix)+0.5)*cell }
+	l.scanRows(sc, min.Y, cell, ny, nil, func(iy int, crossings []crossing) {
+		w := 0
+		pos := 0         // first cell whose winding is not yet settled
+		r0, r1 := -1, -1 // pending run, flushed when the next one is not adjacent
+		emit := func(x0, x1 int) {
+			if w <= 0 || w%2 != 1 || x0 >= x1 {
+				return
+			}
+			if x0 == r1 {
+				r1 = x1
+				return
+			}
+			if r0 >= 0 {
+				fill(iy, r0, r1)
+			}
+			r0, r1 = x0, x1
+		}
+		for _, c := range crossings {
+			// ix: the first cell >= pos with c.x <= centre(ix), else nx.
+			ix := pos
+			if g := (c.x-min.X)/cell - 0.5; g > float64(pos) {
+				ix = nx
+				if g < float64(nx) {
+					ix = int(math.Ceil(g))
+				}
+			}
+			for ix > pos && c.x <= centre(ix-1) {
+				ix--
+			}
+			for ix < nx && !(c.x <= centre(ix)) {
+				ix++
+			}
+			emit(pos, ix)
+			pos = ix
+			w += int(c.delta)
+		}
+		emit(pos, nx)
+		if r0 >= 0 {
+			fill(iy, r0, r1)
+		}
+	})
+	return nil
 }
 
 // SolidArea integrates the model-material area of the layer by scanline at

@@ -289,19 +289,12 @@ func sliceShell(s *mesh.Shell, tris []int32, z float64, opts Options, sc *chainS
 			int64(math.Round(p.Y / opts.SnapTol)),
 		}
 	}
-	clear(sc.cellOf)
+	sc.cells.reset(len(segs))
 	sc.segCell = grow(sc.segCell, len(segs))
-	nCells := int32(0)
 	for i, sg := range segs {
-		k := quant(sg.a)
-		id, ok := sc.cellOf[k]
-		if !ok {
-			id = nCells
-			nCells++
-			sc.cellOf[k] = id
-		}
-		sc.segCell[i] = id
+		sc.segCell[i] = sc.cells.id(quant(sg.a))
 	}
+	nCells := int32(len(sc.cells.keys))
 	sc.cellCnt = grow(sc.cellCnt, int(nCells))
 	for c := range sc.cellCnt {
 		sc.cellCnt[c] = 0
@@ -357,7 +350,7 @@ func sliceShell(s *mesh.Shell, tris []int32, z float64, opts Options, sc *chainS
 		// boundaries.
 		for dx := int64(-1); dx <= 1; dx++ {
 			for dy := int64(-1); dy <= 1; dy++ {
-				c, ok := sc.cellOf[[2]int64{k[0] + dx, k[1] + dy}]
+				c, ok := sc.cells.lookup([2]int64{k[0] + dx, k[1] + dy})
 				if !ok {
 					continue
 				}

@@ -8,13 +8,16 @@ import (
 	"obfuscade/internal/mesh"
 )
 
-// quantize snaps a coordinate to the grid. With a power-of-two quantum
-// both the scale and the product are exact in float64, and any grid
-// value a sane part can reach (|c| < 2^13 with the default quantum) is
-// also exact in float32 — so quantized meshes survive the STL wire
-// format bit-for-bit.
+// quantize snaps a coordinate to the grid, then to the nearest float32.
+// With a power-of-two quantum both the scale and the product are exact
+// in float64, and any grid value a sane part can reach (|c| < 2^13 with
+// the default quantum) is also exact in float32, so the second snap
+// changes nothing there. Beyond that the grid is finer than float32, and
+// the second snap makes the value one the STL wire format carries
+// exactly: a sanitized file decodes to the very coordinates it was
+// canonicalized on, so sanitizing it again is a no-op.
 func quantize(c, q float64) float64 {
-	return math.Round(c/q) * q
+	return float64(float32(math.Round(c/q) * q))
 }
 
 // residue is the sub-quantum remainder of a coordinate in units of the

@@ -90,6 +90,19 @@ func sanitizeBinaryHeader(name string) string {
 	return name
 }
 
+// BinaryName returns the solid name that a binary file written under
+// name decodes to: the header text cut at 80 bytes and at the first NUL,
+// with surrounding space trimmed.
+func BinaryName(name string) string {
+	h := []byte(sanitizeBinaryHeader(name))
+	return headerName(h[:min(len(h), binaryHeaderSize)])
+}
+
+// headerName reads the solid name out of a binary header.
+func headerName(h []byte) string {
+	return strings.TrimSpace(string(bytes.SplitN(h, []byte{0}, 2)[0]))
+}
+
 // checkBinaryTriangleCount rejects facet counts the binary dialect cannot
 // represent; uint32 truncation would silently emit a corrupt file.
 func checkBinaryTriangleCount(n int) error {
@@ -204,14 +217,13 @@ func decodeBinary(data []byte) (*mesh.Mesh, error) {
 	if len(data) < binaryHeaderSize+4 {
 		return nil, fmt.Errorf("stl: binary file too short (%d bytes)", len(data))
 	}
-	name := string(bytes.SplitN(data[:binaryHeaderSize], []byte{0}, 2)[0])
 	count := binary.LittleEndian.Uint32(data[binaryHeaderSize:])
 	want := BinarySize(int(count))
 	if int64(len(data)) < want {
 		return nil, fmt.Errorf("stl: truncated binary file: have %d bytes, want %d for %d facets",
 			len(data), want, count)
 	}
-	s := mesh.Shell{Name: strings.TrimSpace(name), Orient: mesh.Outward}
+	s := mesh.Shell{Name: headerName(data[:binaryHeaderSize]), Orient: mesh.Outward}
 	off := binaryHeaderSize + 4
 	getVec := func(o int) geom.Vec3 {
 		return geom.V3(

@@ -73,8 +73,9 @@ type Run struct {
 	// FEA (1 when RunFEA is off or no concentrator is present).
 	DesignKt float64
 	// StageSeconds records each stage's wall time, keyed by stage name
-	// (cad, stl, slice, toolpath, gcode, print, fea); stl includes
-	// tessellation only when the run tessellates inline. Values are
+	// (cad, stl, slice, toolpath, gcode, print, fea); cad includes the
+	// CAD save and stl the tessellation only when the run does them
+	// inline rather than taking the caller's. Values are
 	// wall-clock-derived and excluded from determinism contracts; the
 	// key set is fixed by the pipeline shape.
 	StageSeconds map[string]float64
@@ -90,14 +91,16 @@ func (p Pipeline) Execute(part *brep.Part) (*Run, error) {
 // matrix) and the per-stage wall times are retained in Run.StageSeconds
 // for the provenance manifest.
 func (p Pipeline) ExecuteCtx(ctx context.Context, part *brep.Part) (*Run, error) {
-	return p.ExecuteMeshCtx(ctx, part, nil)
+	return p.ExecuteMeshCtx(ctx, part, nil, nil)
 }
 
-// ExecuteMeshCtx is ExecuteCtx on a tessellation the caller already
-// holds: master must be tessellate.Tessellate(part, p.Resolution). The
-// run orients a clone, so master stays read-only and keys that differ
-// only in orientation can share it. A nil master is tessellated inline.
-func (p Pipeline) ExecuteMeshCtx(ctx context.Context, part *brep.Part, master *mesh.Mesh) (*Run, error) {
+// ExecuteMeshCtx is ExecuteCtx on a tessellation and CAD file the caller
+// already holds: master must be tessellate.Tessellate(part, p.Resolution)
+// and cadBytes must be brep.Save(part). The run orients a clone of master
+// and only reads cadBytes, so both stay read-only and keys that differ
+// only in orientation can share them. A nil master is tessellated inline;
+// nil cadBytes are saved inline.
+func (p Pipeline) ExecuteMeshCtx(ctx context.Context, part *brep.Part, master *mesh.Mesh, cadBytes []byte) (*Run, error) {
 	if err := p.Printer.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,9 +114,11 @@ func (p Pipeline) ExecuteMeshCtx(ctx context.Context, part *brep.Part, master *m
 		t0 = now
 	}
 
-	cadBytes, err := brep.Save(part)
-	if err != nil {
-		return nil, fmt.Errorf("supplychain: CAD stage: %w", err)
+	var err error
+	if cadBytes == nil {
+		if cadBytes, err = brep.Save(part); err != nil {
+			return nil, fmt.Errorf("supplychain: CAD stage: %w", err)
+		}
 	}
 	run.CADBytes = cadBytes
 	mark("cad")

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"testing"
 
+	"obfuscade/internal/brep"
 	"obfuscade/internal/geom"
 	"obfuscade/internal/mech"
 	"obfuscade/internal/mesh"
@@ -14,11 +15,16 @@ import (
 )
 
 // A run on a memoized tessellation — one master built once and handed
-// to every run of the same resolution — must be byte-identical to a run
-// that tessellates inline, for every resolution and orientation. Sharing
-// the master trades time and allocations, never content.
+// to every run of the same resolution, with or without the CAD bytes
+// saved once beside it — must be byte-identical to a run that saves and
+// tessellates inline, for every resolution and orientation. Sharing
+// trades time and allocations, never content.
 func TestMemoizedPipelineByteIdentical(t *testing.T) {
 	part := barPart(t)
+	cad, err := brep.Save(part)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, res := range []tessellate.Resolution{tessellate.Coarse, tessellate.Fine} {
 		master, err := tessellate.Tessellate(part, res)
 		if err != nil {
@@ -30,14 +36,17 @@ func TestMemoizedPipelineByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s/%v inline: %v", res.Name, o, err)
 			}
-			got, err := pl.ExecuteMeshCtx(context.Background(), part, master)
-			if err != nil {
-				t.Fatalf("%s/%v shared: %v", res.Name, o, err)
-			}
-			// Stage wall times are the only fields allowed to differ.
-			want.StageSeconds, got.StageSeconds = nil, nil
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%v: run on a shared mesh diverges from the inline run", res.Name, o)
+			for _, sharedCAD := range [][]byte{nil, cad} {
+				got, err := pl.ExecuteMeshCtx(context.Background(), part, master, sharedCAD)
+				if err != nil {
+					t.Fatalf("%s/%v shared: %v", res.Name, o, err)
+				}
+				// Stage wall times are the only fields allowed to differ.
+				want.StageSeconds, got.StageSeconds = nil, nil
+				if !reflect.DeepEqual(want, got) {
+					t.Errorf("%s/%v (shared CAD bytes: %v): run on a shared mesh diverges from the inline run",
+						res.Name, o, sharedCAD != nil)
+				}
 			}
 		}
 	}
@@ -55,14 +64,14 @@ func TestMemoizedMeshImmutable(t *testing.T) {
 	}
 	before := vertexBits(master)
 	pl := Pipeline{Resolution: tessellate.Coarse, Orientation: mech.XZ, Printer: printer.DimensionElite()}
-	first, err := pl.ExecuteMeshCtx(context.Background(), part, master)
+	first, err := pl.ExecuteMeshCtx(context.Background(), part, master, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(vertexBits(master), before) {
 		t.Fatal("XZ run changed the master mesh")
 	}
-	again, err := pl.ExecuteMeshCtx(context.Background(), part, master)
+	again, err := pl.ExecuteMeshCtx(context.Background(), part, master, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +90,7 @@ func TestExecuteMeshCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	pl := Pipeline{Resolution: tessellate.Coarse, Orientation: mech.XY, Printer: printer.DimensionElite()}
-	if _, err := pl.ExecuteMeshCtx(ctx, part, master); err == nil {
+	if _, err := pl.ExecuteMeshCtx(ctx, part, master, nil); err == nil {
 		t.Error("cancelled run returned nil error")
 	}
 }

@@ -94,6 +94,23 @@ func (g *Grid) Set(x, y, z int, m Material) {
 	}
 }
 
+// FillRow stores m in voxels [x0, x1) of row y in slab z — the run
+// counterpart of Set. The run is clipped to the grid; rows and slabs
+// outside it are ignored.
+func (g *Grid) FillRow(x0, x1, y, z int, m Material) {
+	if y < 0 || z < 0 || y >= g.NY || z >= g.NZ {
+		return
+	}
+	x0, x1 = max(x0, 0), min(x1, g.NX)
+	if x0 >= x1 {
+		return
+	}
+	row := g.cells[g.idx(x0, y, z):g.idx(x1, y, z)]
+	for i := range row {
+		row[i] = m
+	}
+}
+
 // Count returns the number of voxels with the given material.
 func (g *Grid) Count(m Material) int {
 	n := 0

@@ -53,6 +53,28 @@ func TestSetAtBounds(t *testing.T) {
 	}
 }
 
+// FillRow writes exactly the voxels a Set loop over the run would:
+// clipped to the grid in x, ignored outside it in y and z.
+func TestFillRowMatchesSet(t *testing.T) {
+	runs := [][4]int{ // x0, x1, y, z
+		{1, 3, 0, 0}, {-2, 2, 1, 1}, {2, 9, 2, 2}, {-5, 9, 3, 3},
+		{3, 3, 0, 1}, {3, 1, 1, 2}, {0, 4, -1, 0}, {0, 4, 4, 0}, {0, 4, 0, -1}, {0, 4, 0, 4},
+	}
+	got, want := newTestGrid(t, 4, 4, 4), newTestGrid(t, 4, 4, 4)
+	for _, r := range runs {
+		got.FillRow(r[0], r[1], r[2], r[3], Support)
+		for x := r[0]; x < r[1]; x++ {
+			want.Set(x, r[2], r[3], Support)
+		}
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Error("FillRow differs from the equivalent Set loop")
+	}
+	if n := got.Count(Support); n != 2+2+2+4 {
+		t.Errorf("FillRow filled %d voxels, want 10", n)
+	}
+}
+
 func TestVolumeAndReplace(t *testing.T) {
 	g := newTestGrid(t, 3, 3, 3)
 	g.Set(0, 0, 0, Support)
